@@ -43,7 +43,7 @@ type Options struct {
 	// LegacyEncoding disables the persistent incremental-SAT engine and
 	// restores the per-assignment re-encode path: each SAT extraction
 	// compiles (or LRU-replays) a fixed-key miter into a fresh solver,
-	// and candidate distinguishing builds throwaway hashed miters. An
+	// and candidate distinguishing uses the keyed hashed prover. An
 	// escape hatch — results are identical, the engine is just faster.
 	LegacyEncoding bool
 	// Portfolio, when > 0, replaces the single persistent engine with a
@@ -307,15 +307,15 @@ type attack struct {
 }
 
 // engine returns the persistent incremental engine shared with the
-// extractor, when it offers one. In the simulation-extractor regime
-// (wide blocks) no engine exists and callers fall back to the
-// structural-hashing prover — deliberately: a distinguishing query
-// there is almost always an equivalence proof of two activated copies
-// of the whole netlist, which hashing collapses in milliseconds while
-// a cold CDCL instance pays an encoding plus a full UNSAT search
-// (measured 20x slower on the c880-profile Table-I row). The engine
-// only wins where it is already warm from SAT enumeration. Nil under
-// LegacyEncoding.
+// extractor, when it offers one. It answers the distinguishing queries
+// that survive the verify's simulation sweep only where SAT enumeration
+// already warmed it. In the simulation-extractor regime (wide blocks)
+// no engine exists and distinguish uses the keyed hashed prover on the
+// locked netlist — deliberately: such a query is almost always an
+// equivalence proof of two keys whose constants fold to the same
+// structure, which hashing settles without a solver, while a cold CDCL
+// instance pays an encoding plus a full UNSAT search (measured 20x
+// slower on the c880-profile Table-I row). Nil under LegacyEncoding.
 func (a *attack) engine() engine.Backend {
 	if a.engTried {
 		return a.eng
@@ -331,7 +331,7 @@ func (a *attack) engine() engine.Backend {
 		if err == nil {
 			a.eng = eng
 		} else {
-			a.logf("incremental engine unavailable (%v): falling back to throwaway miters", err)
+			a.logf("incremental engine unavailable (%v): falling back to the keyed hashed prover", err)
 		}
 	}
 	return a.eng
@@ -943,80 +943,74 @@ func (a *attack) runWithActive(active int) (*Result, error) {
 }
 
 // verifyCandidates builds the candidate key family from a decoded
-// structure and adjudicates it against the oracle: cheap probes, then
-// pairwise SAT distinguishing inputs, then the O(m) DIP replay.
+// structure and adjudicates it against the oracle in three stages, all
+// on one simulator over the locked netlist:
+//
+//  1. Shared probes: one probe set per verify, answered by the oracle
+//     once (probeCandidates); every candidate is simulated against the
+//     same answers, so the probe stage costs ⌈probes/64⌉ oracle calls
+//     whatever the candidate count.
+//  2. Pairwise distinguishing of the survivors (the paper's "SAT-based
+//     key verification" from [6]): a 512-lane simulation sweep, then a
+//     SAT-backed proof (see distinguish). A distinguishing input is
+//     adjudicated by the oracle.
+//  3. The O(m) replay of every extracted DIP against the oracle.
+//
+// A candidate is only ever eliminated on a concrete disagreement with
+// the oracle, so the true key always survives.
 func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Result, error) {
-	n := a.layout.N()
-	// Key candidates: the active block's polarity is s or its complement
-	// (inherent ambiguity), the inter-block offset is δ⊕c or its
-	// complement (branch ambiguity of the class split).
-	mask := blockMask(n)
-	type cand struct{ aActive, aCalib uint64 }
-	var cands []cand
-	for _, delta := range st.deltas {
-		for _, d := range []uint64{delta ^ calib, (^delta & mask) ^ calib} {
-			for _, aAct := range []uint64{st.s & mask, ^st.s & mask} {
-				cands = append(cands, cand{aAct, aAct ^ d})
-			}
-		}
+	cands, keys := a.candidateKeys(active, calib, st)
+	a.candidates += len(cands)
+	a.cCandidates.Add(uint64(len(cands)))
+	sim, err := netlist.NewSimulator(a.opts.Locked)
+	if err != nil {
+		return nil, err
 	}
-	// Cheap oracle probes weed out grossly wrong candidates; the
-	// survivors then face the sound discriminator: pairwise SAT
-	// distinguishing inputs adjudicated by the oracle (the paper's
-	// "SAT-based key verification" from [6]). A candidate is only ever
-	// eliminated on a concrete disagreement with the oracle, so the true
-	// key always survives.
-	type scored struct {
-		cd  cand
-		key []bool
+	passed, err := a.probeCandidates(sim, st, keys)
+	if err != nil {
+		return nil, a.verifyErr(active, st, err)
 	}
-	var survivors []scored
-	for _, cd := range cands {
-		if err := a.ctxErr(); err != nil {
-			return nil, a.partial("verify", active, st, err)
-		}
-		a.candidates++
-		a.cCandidates.Inc()
-		key := a.buildKey(active, cd.aActive, cd.aCalib)
-		ok, err := a.probeKey(key, st)
-		if err != nil {
-			return nil, a.verifyErr(active, st, err)
-		}
+	var survivors []int
+	for i, ok := range passed {
 		if ok {
-			survivors = append(survivors, scored{cd, key})
+			survivors = append(survivors, i)
 		}
 	}
 	a.logf("%d candidates, %d survived probing", len(cands), len(survivors))
-	for i := 0; i < len(survivors); i++ {
+	var sweep [][][8]uint64 // built on the first distinguishing query
+	for _, i := range survivors {
 		alive := true
-		for j := 0; j < len(survivors) && alive; j++ {
+		for _, j := range survivors {
 			if i == j {
 				continue
 			}
 			if err := a.ctxErr(); err != nil {
 				return nil, a.partial("verify", active, st, err)
 			}
-			witness, equivalent, err := a.distinguish(survivors[i].key, survivors[j].key, st)
+			if sweep == nil {
+				sweep = a.sweepGroups(st)
+			}
+			witness, equivalent, err := a.distinguish(sim, sweep, keys[i], keys[j])
 			if err != nil {
 				return nil, a.verifyErr(active, st, err)
 			}
 			if equivalent {
 				continue
 			}
-			iOK, err := a.agreesWithOracle(witness, survivors[i].key)
+			iOK, err := a.agreesWithOracle(sim, witness, keys[i])
 			if err != nil {
 				return nil, a.verifyErr(active, st, err)
 			}
 			if !iOK {
 				alive = false
+				break
 			}
 		}
 		if !alive {
 			continue
 		}
-		key := survivors[i].key
 		a.logf("candidate %d: replaying all %d DIPs against the oracle", i, st.total)
-		if err := a.verifyKeyOnDIPs(key, st); err != nil {
+		if err := a.verifyKeyOnDIPs(sim, keys[i], st); err != nil {
 			if cerr := a.ctxErr(); cerr != nil {
 				return nil, a.partial("verify", active, st, cerr)
 			}
@@ -1026,13 +1020,33 @@ func (a *attack) verifyCandidates(active int, calib uint64, st *structured) (*Re
 			continue
 		}
 		a.logf("candidate %d verified on every DIP", i)
-		return a.report(active, calib, st, survivors[i].cd.aActive, survivors[i].cd.aCalib, key), nil
+		return a.report(active, calib, st, cands[i].aActive, cands[i].aCalib, keys[i]), nil
 	}
 	// Every candidate of a decode that passed the Lemma-2 structural
 	// checks was killed by a concrete oracle disagreement. On a correct
 	// oracle that is impossible (the true key is always a candidate and
 	// never disagrees), so diagnose the oracle instead of guessing.
 	return nil, fmt.Errorf("%w: %d candidates eliminated", ErrOracleInconsistent, len(cands))
+}
+
+// keyCandidate is one candidate's block polarities.
+type keyCandidate struct{ aActive, aCalib uint64 }
+
+// candidateKeys builds the candidate key family of a decoded structure:
+// the active block's polarity is s or its complement (inherent
+// ambiguity), the inter-block offset is δ⊕c or its complement (branch
+// ambiguity of the class split). keys[i] is cands[i]'s key vector.
+func (a *attack) candidateKeys(active int, calib uint64, st *structured) (cands []keyCandidate, keys [][]bool) {
+	mask := blockMask(a.layout.N())
+	for _, delta := range st.deltas {
+		for _, d := range []uint64{delta ^ calib, (^delta & mask) ^ calib} {
+			for _, aAct := range []uint64{st.s & mask, ^st.s & mask} {
+				cands = append(cands, keyCandidate{aAct, aAct ^ d})
+				keys = append(keys, a.buildKey(active, aAct, aAct^d))
+			}
+		}
+	}
+	return cands, keys
 }
 
 // verifyErr classifies an error raised while consulting the oracle
@@ -1057,19 +1071,18 @@ const distinguishConflictBudget = 200000
 
 // distinguish finds an input on which the locked circuit behaves
 // differently under the two keys, or reports that none was found. It
-// first sweeps the extracted block space by bit-parallel simulation
-// (wrong candidate pairs differ on block patterns, and this finds the
-// witness in milliseconds); only if the sweep is clean does it fall to
-// SAT — normally an assumption query against the persistent engine,
-// whose learned clauses from the enumeration phases make repeated
-// pairwise probes cheap, or a throwaway structurally-hashed miter under
-// LegacyEncoding. Both run under distinguishConflictBudget with the same
-// Unknown-means-equivalent contract.
-func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool, equivalent bool, err error) {
-	if w, found, err := a.simDistinguish(keyA, keyB, st); err != nil {
-		return nil, false, err
-	} else if found {
-		return w, false, nil
+// first sweeps the verify's shared block patterns at 512 lanes (wrong
+// candidate pairs differ on block patterns, so this finds the witness
+// in microseconds). Only a clean sweep reaches a proof: an assumption
+// query against the persistent engine when the SAT extractor left one
+// warm, otherwise a keyed structurally hashed proof on the locked
+// netlist itself, where equivalent keys usually fold to the same
+// structure and only the cones that still differ reach SAT. Both run
+// under distinguishConflictBudget with the same Unknown-means-equivalent
+// contract.
+func (a *attack) distinguish(sim *netlist.Simulator, sweep [][][8]uint64, keyA, keyB []bool) (witness []bool, equivalent bool, err error) {
+	if w, err := a.sweepDistinguish(sim, sweep, keyA, keyB); err != nil || w != nil {
+		return w, false, err
 	}
 	if eng := a.engine(); eng != nil {
 		out, err := eng.DistinguishEx(keyA, keyB, distinguishConflictBudget)
@@ -1085,123 +1098,170 @@ func (a *attack) distinguish(keyA, keyB []bool, st *structured) (witness []bool,
 		}
 		return out.Witness, out.Equivalent, nil
 	}
-	actA, err := oracle.Activate(a.opts.Locked, keyA)
-	if err != nil {
-		return nil, false, err
-	}
-	actB, err := oracle.Activate(a.opts.Locked, keyB)
-	if err != nil {
-		return nil, false, err
-	}
-	eq, w, err := miter.ProveEquivalentHashedBudget(actA, actB, distinguishConflictBudget)
+	eq, w, err := miter.ProveKeysEquivalentBudget(a.opts.Locked, keyA, keyB, distinguishConflictBudget)
 	if err != nil {
 		return nil, false, err
 	}
 	return w, eq, nil
 }
 
-// simDistinguish searches for a distinguishing input by simulating both
-// keys over the block space: the extracted DIP patterns, the candidate
-// corruption anchors, and a random sweep.
-func (a *attack) simDistinguish(keyA, keyB []bool, st *structured) ([]bool, bool, error) {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
-	if err != nil {
-		return nil, false, err
-	}
-	nIn := a.opts.Locked.NumInputs()
-	wordsA := make([]uint64, len(keyA))
-	wordsB := make([]uint64, len(keyB))
-	for i := range keyA {
-		if keyA[i] {
-			wordsA[i] = ^uint64(0)
-		}
-		if keyB[i] {
-			wordsB[i] = ^uint64(0)
-		}
-	}
+// sweepPatterns is the distinguishing sweep's size: eight 512-lane
+// groups.
+const sweepPatterns = 4096
+
+// sweepGroups draws the distinguishing sweep's block patterns — the
+// candidate corruption anchors, aligned and small class samples, then
+// random patterns — and packs them with random side inputs into
+// 512-lane groups (one [8]uint64 bank per primary input). Every
+// distinguishing query of one verify shares them.
+func (a *attack) sweepGroups(st *structured) [][][8]uint64 {
 	mask := blockMask(a.layout.N())
 	wnc := NonControllingPattern(st.chainH)
-	patterns := []uint64{wnc, ^wnc & mask, st.dipNC, ^st.dipNC & mask}
-	budget := 4096
+	patterns := make([]uint64, 0, sweepPatterns)
+	patterns = append(patterns, wnc, ^wnc&mask, st.dipNC, ^st.dipNC&mask)
 	st.forEachBig(func(p uint64) bool {
-		if len(patterns) >= budget/2 {
+		if len(patterns) >= sweepPatterns/2 {
 			return false
 		}
 		patterns = append(patterns, p)
 		return true
 	})
 	st.forEachSmall(func(p uint64) bool {
-		if len(patterns) >= 3*budget/4 {
+		if len(patterns) >= 3*sweepPatterns/4 {
 			return false
 		}
 		patterns = append(patterns, p)
 		return true
 	})
-	for len(patterns) < budget {
+	for len(patterns) < sweepPatterns {
 		patterns = append(patterns, a.rng.Uint64()&mask)
 	}
-	in := make([]uint64, nIn)
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		chunk := patterns[base:end]
-		for i := range in {
-			in[i] = a.rng.Uint64()
-		}
-		for i, pos := range a.layout.InputPos {
-			var w uint64
-			for l, p := range chunk {
-				if p&(1<<uint(i)) != 0 {
-					w |= 1 << uint(l)
-				}
+	nIn := a.opts.Locked.NumInputs()
+	groups := make([][][8]uint64, sweepPatterns/512)
+	word := make([]uint64, nIn)
+	for g := range groups {
+		groups[g] = make([][8]uint64, nIn)
+		for w := 0; w < 8; w++ {
+			base := (8*g + w) * 64
+			a.packPatterns(word, patterns[base:base+64])
+			for i, v := range word {
+				groups[g][i][w] = v
 			}
-			in[pos] = w
-		}
-		outA, err := sim.Run64(in, wordsA)
-		if err != nil {
-			return nil, false, err
-		}
-		outACopy := append([]uint64(nil), outA...)
-		outB, err := sim.Run64(in, wordsB)
-		if err != nil {
-			return nil, false, err
-		}
-		var diff uint64
-		for i := range outB {
-			diff |= outACopy[i] ^ outB[i]
-		}
-		if len(chunk) < 64 {
-			diff &= (uint64(1) << uint(len(chunk))) - 1
-		}
-		if diff != 0 {
-			lane := trailingZeros(diff)
-			witness := make([]bool, nIn)
-			for i := range witness {
-				witness[i] = in[i]&(1<<uint(lane)) != 0
-			}
-			return witness, true, nil
 		}
 	}
-	return nil, false, nil
+	return groups
 }
 
-// agreesWithOracle checks the locked circuit under key against the
-// oracle on one input.
-func (a *attack) agreesWithOracle(in []bool, key []bool) (bool, error) {
+// sweepDistinguish simulates both keys over the sweep groups and
+// returns the first input (in pattern order) on which their outputs
+// differ, or nil.
+func (a *attack) sweepDistinguish(sim *netlist.Simulator, sweep [][][8]uint64, keyA, keyB []bool) ([]bool, error) {
+	kA, kB := keyBanks(keyA), keyBanks(keyB)
+	outA := make([][8]uint64, a.opts.Locked.NumOutputs())
+	for _, in := range sweep {
+		o, err := sim.Run512(in, kA)
+		if err != nil {
+			return nil, err
+		}
+		copy(outA, o)
+		o, err = sim.Run512(in, kB)
+		if err != nil {
+			return nil, err
+		}
+		for w := 0; w < 8; w++ {
+			var diff uint64
+			for i := range o {
+				diff |= outA[i][w] ^ o[i][w]
+			}
+			if diff == 0 {
+				continue
+			}
+			lane := trailingZeros(diff)
+			witness := make([]bool, len(in))
+			for i := range in {
+				witness[i] = in[i][w]&(1<<uint(lane)) != 0
+			}
+			return witness, nil
+		}
+	}
+	return nil, nil
+}
+
+// keyBanks broadcasts a key to every lane of a 512-lane key bank.
+func keyBanks(key []bool) [][8]uint64 {
+	out := make([][8]uint64, len(key))
+	for i, b := range key {
+		if b {
+			for j := range out[i] {
+				out[i][j] = ^uint64(0)
+			}
+		}
+	}
+	return out
+}
+
+// keyWords broadcasts a key to every lane of a 64-lane key word.
+func keyWords(key []bool) []uint64 {
+	out := make([]uint64, len(key))
+	for i, b := range key {
+		if b {
+			out[i] = ^uint64(0)
+		}
+	}
+	return out
+}
+
+// packPatterns fills one 64-lane input word vector: random side inputs,
+// with the block patterns (one per lane, at most 64) on the chain
+// inputs. Lanes past len(block) carry zeros on the chain inputs.
+func (a *attack) packPatterns(in []uint64, block []uint64) {
+	for i := range in {
+		in[i] = a.rng.Uint64()
+	}
+	pos := a.layout.InputPos
+	for _, p := range pos {
+		in[p] = 0
+	}
+	mask := blockMask(len(pos))
+	for l, p := range block {
+		for p &= mask; p != 0; p &= p - 1 {
+			in[pos[trailingZeros(p)]] |= 1 << uint(l)
+		}
+	}
+}
+
+// laneInput unpacks lane of a 64-lane input word vector.
+func laneInput(in []uint64, lane int) []bool {
+	out := make([]bool, len(in))
+	for i, w := range in {
+		out[i] = w&(1<<uint(lane)) != 0
+	}
+	return out
+}
+
+// laneMask covers the first lanes lanes of a 64-lane word.
+func laneMask(lanes int) uint64 {
+	if lanes >= 64 {
+		return ^uint64(0)
+	}
+	return (uint64(1) << uint(lanes)) - 1
+}
+
+// agreesWithOracle checks the locked circuit under key (simulated on
+// sim) against the oracle on one input.
+func (a *attack) agreesWithOracle(sim *netlist.Simulator, in []bool, key []bool) (bool, error) {
 	want, err := a.opts.Oracle.Query(in)
 	if err != nil {
 		return false, err
 	}
 	a.countQueries(1)
-	got, err := a.opts.Locked.Eval(in, key)
+	got, err := sim.Run(in, key)
 	if err != nil {
 		return false, err
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			confirmed, err := a.confirmDisagreement(in, key)
+			confirmed, err := a.confirmDisagreement(sim, in, key)
 			if err != nil {
 				return false, err
 			}
@@ -1217,8 +1277,9 @@ func (a *attack) agreesWithOracle(in []bool, key []bool) (bool, error) {
 // only stands if the denoised answer still differs from the candidate's
 // — Algorithm 1's targeted re-query for a noise-corrupted observation.
 // With MismatchRetries == 0 (the paper's perfect-oracle model) the
-// first answer is final.
-func (a *attack) confirmDisagreement(in []bool, key []bool) (bool, error) {
+// first answer is final. The candidate side runs on sim's scalar path,
+// which overwrites the buffers of its last Run and Run64 calls.
+func (a *attack) confirmDisagreement(sim *netlist.Simulator, in []bool, key []bool) (bool, error) {
 	k := a.opts.MismatchRetries
 	if k <= 0 {
 		return true, nil
@@ -1237,7 +1298,7 @@ func (a *attack) confirmDisagreement(in []bool, key []bool) (bool, error) {
 			}
 		}
 	}
-	got, err := a.opts.Locked.Eval(in, key)
+	got, err := sim.Run(in, key)
 	if err != nil {
 		return false, err
 	}
@@ -1329,51 +1390,75 @@ func (a *attack) buildKey(active int, aActive, aCalib uint64) []bool {
 	return key
 }
 
-// probeKey checks a candidate key against the oracle on a probe set
-// drawn from the extracted DIPs (where wrong keys are most likely to
-// disagree) plus random patterns.
-func (a *attack) probeKey(key []bool, st *structured) (bool, error) {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
-	if err != nil {
-		return false, err
+// probeBudget sizes the shared probe set (probePatterns adds the four
+// corruption anchors and one random pattern to it).
+const probeBudget = 96
+
+// probeCandidates adjudicates every candidate key against one shared
+// probe set. The probes are drawn once and the oracle answers each
+// 64-pattern word once (Query64, counted per used lane); each candidate
+// is then simulated over the same words on sim. Mismatching lanes go to
+// confirmDisagreement in probe order: the first confirmed disagreement
+// eliminates the candidate, an unconfirmed one (noise) is inconclusive.
+// It reports which candidates survived.
+func (a *attack) probeCandidates(sim *netlist.Simulator, st *structured, keys [][]bool) ([]bool, error) {
+	probes := a.probePatterns(st, probeBudget)
+	nIn := a.opts.Locked.NumInputs()
+	var ins, wants [][]uint64
+	var masks []uint64
+	for base := 0; base < len(probes); base += 64 {
+		chunk := probes[base:min(base+64, len(probes))]
+		in := make([]uint64, nIn)
+		a.packPatterns(in, chunk)
+		want, err := a.opts.Oracle.Query64(in)
+		if err != nil {
+			return nil, err
+		}
+		a.countQueries(uint64(len(chunk)))
+		ins = append(ins, in)
+		wants = append(wants, append([]uint64(nil), want...))
+		masks = append(masks, laneMask(len(chunk)))
 	}
-	probes := a.probePatterns(st, 96)
-	for _, block := range probes {
+	alive := make([]bool, len(keys))
+	for c, key := range keys {
 		if err := a.ctxErr(); err != nil {
-			return false, err
+			return nil, err
 		}
-		in := a.embedBlockPattern(block)
-		want, err := a.opts.Oracle.Query(in)
-		if err != nil {
-			return false, err
-		}
-		a.countQueries(1)
-		got, err := sim.Run(in, key)
-		if err != nil {
-			return false, err
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				confirmed, err := a.confirmDisagreement(in, key)
+		kw := keyWords(key)
+		alive[c] = true
+	words:
+		for w, in := range ins {
+			got, err := sim.Run64(in, kw)
+			if err != nil {
+				return nil, err
+			}
+			var bad uint64
+			for o := range got {
+				bad |= got[o] ^ wants[w][o]
+			}
+			bad &= masks[w]
+			for bad != 0 {
+				lane := trailingZeros(bad)
+				bad &^= 1 << uint(lane)
+				confirmed, err := a.confirmDisagreement(sim, laneInput(in, lane), key)
 				if err != nil {
-					return false, err
+					return nil, err
 				}
 				if confirmed {
-					return false, nil
+					alive[c] = false
+					break words
 				}
-				break // noise: this probe is inconclusive, move on
 			}
 		}
 	}
-	return true, nil
+	return alive, nil
 }
 
 // probePatterns samples block patterns, leading with the two patterns
 // every residual-misalignment candidate provably corrupts (DIP_nc and
 // its complement: in the candidate's own coordinates they sit on w_nc,
 // which any surviving δ-error maps outside the one-point set), followed
-// by class samples and random patterns. probeKey stops on the first
-// disagreement, so wrong candidates typically cost O(1) oracle queries.
+// by class samples and random patterns.
 func (a *attack) probePatterns(st *structured, budget int) []uint64 {
 	mask := blockMask(a.layout.N())
 	// A candidate whose only error is a residual inter-block offset m
@@ -1401,38 +1486,15 @@ func (a *attack) probePatterns(st *structured, budget int) []uint64 {
 	return out
 }
 
-// embedBlockPattern places a block pattern on the chain inputs and fills
-// the remaining primary inputs randomly.
-func (a *attack) embedBlockPattern(block uint64) []bool {
-	in := make([]bool, a.opts.Locked.NumInputs())
-	for i := range in {
-		in[i] = a.rng.Intn(2) == 1
-	}
-	for i, pos := range a.layout.InputPos {
-		in[pos] = block&(1<<uint(i)) != 0
-	}
-	return in
-}
-
 // verifyKeyOnDIPs replays every extracted DIP against the oracle under
 // the candidate key — the O(m) final check. Batches of 64 patterns are
 // buffered eight at a time: the oracle side drains a whole group through
 // BatchOracle.EvalMany when the oracle offers it, and the locked-netlist
-// side replays the group in one 512-lane simulator pass.
-func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
-	sim, err := netlist.NewSimulator(a.opts.Locked)
-	if err != nil {
-		return err
-	}
+// side replays the group in one 512-lane pass on sim.
+func (a *attack) verifyKeyOnDIPs(sim *netlist.Simulator, key []bool, st *structured) error {
 	nIn := a.opts.Locked.NumInputs()
-	key8 := make([][8]uint64, len(key))
-	for i, b := range key {
-		if b {
-			for j := range key8[i] {
-				key8[i][j] = ^uint64(0)
-			}
-		}
-	}
+	key8 := keyBanks(key)
+	kw := keyWords(key)
 	all := st.dips.Elements()
 
 	const group = 8
@@ -1447,14 +1509,11 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 	// checkBatch compares one 64-pattern batch, falling back to the
 	// targeted per-lane re-query protocol on mismatch.
 	checkBatch := func(in, want []uint64, got func(o int) uint64, lanes int) error {
-		laneMask := ^uint64(0)
-		if lanes < 64 {
-			laneMask = (uint64(1) << uint(lanes)) - 1
-		}
 		var badLanes uint64
 		for i := range want {
-			badLanes |= (want[i] ^ got(i)) & laneMask
+			badLanes |= want[i] ^ got(i)
 		}
+		badLanes &= laneMask(lanes)
 		if badLanes == 0 {
 			return nil
 		}
@@ -1466,11 +1525,7 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 		for badLanes != 0 {
 			lane := trailingZeros(badLanes)
 			badLanes &^= 1 << uint(lane)
-			inB := make([]bool, nIn)
-			for i := range inB {
-				inB[i] = in[i]&(1<<uint(lane)) != 0
-			}
-			confirmed, err := a.confirmDisagreement(inB, key)
+			confirmed, err := a.confirmDisagreement(sim, laneInput(in, lane), key)
 			if err != nil {
 				return err
 			}
@@ -1526,12 +1581,8 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 			}
 			return nil
 		}
-		keyWords := make([]uint64, len(key))
-		for i := range key8 {
-			keyWords[i] = key8[i][0]
-		}
 		for g := 0; g < gN; g++ {
-			got, err := sim.Run64(ins[g], keyWords)
+			got, err := sim.Run64(ins[g], kw)
 			if err != nil {
 				return err
 			}
@@ -1547,24 +1598,8 @@ func (a *attack) verifyKeyOnDIPs(key []bool, st *structured) error {
 		if err := a.ctxErr(); err != nil {
 			return err
 		}
-		end := base + 64
-		if end > len(all) {
-			end = len(all)
-		}
-		chunk := all[base:end]
-		in := ins[gN]
-		for i := range in {
-			in[i] = a.rng.Uint64()
-		}
-		for i, pos := range a.layout.InputPos {
-			var w uint64
-			for l, p := range chunk {
-				if p&(1<<uint(i)) != 0 {
-					w |= 1 << uint(l)
-				}
-			}
-			in[pos] = w
-		}
+		chunk := all[base:min(base+64, len(all))]
+		a.packPatterns(ins[gN], chunk)
 		lens[gN] = len(chunk)
 		gN++
 		if gN == group {

@@ -18,13 +18,14 @@ import (
 // oracle calls — a deterministic stand-in for a crash mid-attack.
 type cancelOracle struct {
 	inner  oracle.Oracle
-	left   int
+	left   int // calls until cancel; 0 never cancels
+	calls  int
 	cancel context.CancelFunc
 }
 
 func (o *cancelOracle) tick() {
-	o.left--
-	if o.left == 0 {
+	o.calls++
+	if o.calls == o.left {
 		o.cancel()
 	}
 }
@@ -48,19 +49,23 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	lockedC, inst, h := lockedInstance(t, "2A-O-A", 41)
 	const seed = 42
 
-	// Reference: uninterrupted run.
+	// Reference: uninterrupted run, counting its oracle calls.
 	simRef := oracle.MustNewSim(h)
-	ref, err := Run(Options{Locked: lockedC, Oracle: simRef, Seed: seed, Telemetry: telemetry.New()})
+	refOrc := &cancelOracle{inner: simRef}
+	ref, err := Run(Options{Locked: lockedC, Oracle: refOrc, Seed: seed, Telemetry: telemetry.New()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if refOrc.calls < 2 {
+		t.Fatalf("reference attack made %d oracle calls; cannot crash one mid-attack", refOrc.calls)
 	}
 	if !inst.IsCorrectCASKey(ref.Key) {
 		t.Fatal("reference attack recovered a wrong key")
 	}
 	refQueries := simRef.Queries()
 
-	// Crashed run: checkpoint on every progress event, die after five
-	// oracle calls.
+	// Crashed run: checkpoint on every progress event, die halfway
+	// through the reference run's oracle calls.
 	path := filepath.Join(t.TempDir(), "snap.ckpt")
 	telCrash := telemetry.New()
 	w, err := checkpoint.NewWriter(checkpoint.WriterConfig{
@@ -71,13 +76,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co := &cancelOracle{inner: oracle.MustNewSim(h), left: 5, cancel: cancel}
+	co := &cancelOracle{inner: oracle.MustNewSim(h), left: refOrc.calls / 2, cancel: cancel}
+	t.Logf("crashing at oracle call %d of %d", co.left, refOrc.calls)
 	_, err = Run(Options{
 		Locked: lockedC, Oracle: co, Seed: seed, Telemetry: telCrash,
 		Context: ctx, Checkpointer: w,
 	})
 	if err == nil {
-		t.Fatal("interrupted attack reported success")
+		t.Fatalf("attack interrupted at oracle call %d of %d reported success", co.left, refOrc.calls)
 	}
 	w.Close()
 	if w.Writes() == 0 {

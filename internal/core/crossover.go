@@ -153,8 +153,8 @@ func newCalibratedSim(opts *Options, layout *BlockLayout) (*SimExtractor, error)
 // nil. A pinned SATWidthLimit (> 0) or the legacy encoding path keeps
 // the historical fixed-width rule; otherwise a per-instance calibration
 // probe picks the cheaper engine empirically. The decision, both probe
-// costs, and the block width land in crossover_* metrics, and the
-// probe runs under a "calibrate" child span of root.
+// costs, and the block width land in crossover_* metrics; the memo-key
+// derivation and the probe run under a "calibrate" child span of root.
 func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, root *telemetry.Span) (Extractor, error) {
 	tel := opts.Telemetry
 	n := layout.N()
@@ -191,6 +191,14 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 		return newCalibratedSim(opts, layout)
 	}
 
+	// The calibrate span opens before the memo key is derived: the key's
+	// netlist canonicalization is part of the decision's cost.
+	sp := root.Child("calibrate")
+	defer func() {
+		d := sp.End()
+		tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
+			telemetry.DurationBuckets).Observe(d.Seconds())
+	}()
 	memoKey := probeMemoKey(opts)
 	cell := crossoverCell(memoKey, n)
 	// setGauge mirrors each probe gauge per lockbench cell alongside the
@@ -213,12 +221,8 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 			if err == nil {
 				tel.Counter("crossover_probe_reused_total").Inc()
 				setGauge("crossover_block_width", int64(n))
-				sp := root.Child("calibrate")
 				sp.SetArg("engine", engine)
 				sp.SetArg("reason", "probe-reused")
-				d := sp.End()
-				tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
-					telemetry.DurationBuckets).Observe(d.Seconds())
 				tel.Counter(telemetry.Label("crossover_selected_total", "engine", engine)).Inc()
 				publish(engine, "probe-reused", 0, 0)
 				return ext, nil
@@ -231,12 +235,6 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 
 	tel.Counter("crossover_probes_total").Inc()
 	setGauge("crossover_block_width", int64(n))
-	sp := root.Child("calibrate")
-	defer func() {
-		d := sp.End()
-		tel.Histogram(telemetry.Label("attack_phase_seconds", "phase", "calibrate"),
-			telemetry.DurationBuckets).Observe(d.Seconds())
-	}()
 	var simEst, satNs time.Duration
 	pick := func(engine, reason string, ext Extractor) Extractor {
 		sp.SetArg("engine", engine)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -154,9 +155,20 @@ func (e *errOracle) Query64(in []uint64) ([]uint64, error) {
 
 func TestAttackPropagatesOracleErrors(t *testing.T) {
 	lockedC, _, h := lockedInstance(t, "2A-O-A", 7)
-	orc := &errOracle{inner: oracle.MustNewSim(h), budget: 3}
+	// The failure point comes from an uninterrupted reference run's call
+	// count, so the oracle dies mid-attack however the attack batches
+	// its queries.
+	ref := &errOracle{inner: oracle.MustNewSim(h), budget: math.MaxInt}
+	if _, err := Run(Options{Locked: lockedC, Oracle: ref, Seed: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if ref.queries < 2 {
+		t.Fatalf("reference attack made %d oracle calls; cannot fail one mid-attack", ref.queries)
+	}
+	orc := &errOracle{inner: oracle.MustNewSim(h), budget: ref.queries / 2}
+	t.Logf("failing after oracle call %d of %d", orc.budget, ref.queries)
 	if _, err := Run(Options{Locked: lockedC, Oracle: orc, Seed: 8}); err == nil {
-		t.Error("oracle failure not propagated")
+		t.Errorf("oracle failure after %d of %d calls not propagated", orc.budget, ref.queries)
 	}
 }
 

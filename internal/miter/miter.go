@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/netlist"
-	"repro/internal/oracle"
 	"repro/internal/sat"
 )
 
@@ -75,12 +74,7 @@ func NewFixedKey(locked *netlist.Circuit, keyA, keyB []bool) (*netlist.Circuit, 
 		return nil, fmt.Errorf("miter: key lengths %d/%d, want %d", len(keyA), len(keyB), kd.NKeys)
 	}
 	full := append(append([]bool(nil), keyA...), keyB...)
-	fixed, err := oracle.Activate(kd.Circuit, full)
-	if err != nil {
-		return nil, err
-	}
-	fixed.Name = locked.Name + "_fkmiter"
-	return fixed, nil
+	return kd.Circuit.BindKeys(locked.Name+"_fkmiter", full)
 }
 
 // NewEquivalence builds a miter over two key-free circuits with
@@ -88,6 +82,15 @@ func NewFixedKey(locked *netlist.Circuit, keyA, keyB []bool) (*netlist.Circuit, 
 func NewEquivalence(a, b *netlist.Circuit) (*netlist.Circuit, error) {
 	if a.NumKeys() != 0 || b.NumKeys() != 0 {
 		return nil, fmt.Errorf("miter: equivalence miter needs key-free circuits")
+	}
+	return newEquivalence(a, b)
+}
+
+// newEquivalence is NewEquivalence that lets a keep its key inputs,
+// which become the miter's key inputs in a's order.
+func newEquivalence(a, b *netlist.Circuit) (*netlist.Circuit, error) {
+	if b.NumKeys() != 0 {
+		return nil, fmt.Errorf("miter: reference circuit %q has key inputs", b.Name)
 	}
 	if a.NumInputs() != b.NumInputs() || a.NumOutputs() != b.NumOutputs() {
 		return nil, fmt.Errorf("miter: shape mismatch: %s vs %s", a, b)
@@ -97,7 +100,7 @@ func NewEquivalence(a, b *netlist.Circuit) (*netlist.Circuit, error) {
 	for i, id := range a.Inputs() {
 		inputMap[i] = m.MustAddInput(a.Gate(id).Name)
 	}
-	outsA, err := m.Import(a, netlist.ImportOptions{Prefix: "A_", InputMap: inputMap})
+	outsA, err := m.Import(a, netlist.ImportOptions{Prefix: "A_", InputMap: inputMap, ImportKeysAsKeys: true})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +149,29 @@ func differenceSignal(m *netlist.Circuit, a, b []netlist.ID, prefix string) (net
 // functionally identical. It returns (true, nil) on proved equivalence
 // and (false, witness) with a distinguishing input pattern otherwise.
 func ProveEquivalent(a, b *netlist.Circuit) (bool, []bool, error) {
-	m, err := NewEquivalence(a, b)
+	if a.NumKeys() != 0 || b.NumKeys() != 0 {
+		return false, nil, fmt.Errorf("miter: equivalence miter needs key-free circuits")
+	}
+	return provePlain(a, nil, b)
+}
+
+// ProveUnlocked decides whether a locked circuit under the given key is
+// functionally identical to a reference circuit. This is the
+// experimenter's ground-truth check for attack results: a plain Tseitin
+// encoding of the whole miter, with the key applied as solver
+// assumptions, and no hashing or folding.
+func ProveUnlocked(locked *netlist.Circuit, key []bool, reference *netlist.Circuit) (bool, error) {
+	if len(key) != locked.NumKeys() {
+		return false, fmt.Errorf("miter: key length %d, circuit %q has %d key inputs", len(key), locked.Name, locked.NumKeys())
+	}
+	eq, _, err := provePlain(locked, key, reference)
+	return eq, err
+}
+
+// provePlain encodes the equivalence miter of a (under key, nil when a
+// is key-free) and b in full and solves it.
+func provePlain(a *netlist.Circuit, key []bool, b *netlist.Circuit) (bool, []bool, error) {
+	m, err := newEquivalence(a, b)
 	if err != nil {
 		return false, nil, err
 	}
@@ -155,8 +180,14 @@ func ProveEquivalent(a, b *netlist.Circuit) (bool, []bool, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	diffLit := enc.OutputLits(m)[0]
-	switch s.Solve(diffLit) {
+	assume := []cnf.Lit{enc.OutputLits(m)[0]}
+	for i, l := range enc.KeyLits(m) {
+		if !key[i] {
+			l = l.Neg()
+		}
+		assume = append(assume, l)
+	}
+	switch s.Solve(assume...) {
 	case sat.Unsat:
 		return true, nil, nil
 	case sat.Sat:
@@ -167,16 +198,4 @@ func ProveEquivalent(a, b *netlist.Circuit) (bool, []bool, error) {
 		return false, witness, nil
 	}
 	return false, nil, fmt.Errorf("miter: solver returned UNKNOWN")
-}
-
-// ProveUnlocked decides whether a locked circuit under the given key is
-// functionally identical to a reference circuit. This is the
-// experimenter's ground-truth check for attack results.
-func ProveUnlocked(locked *netlist.Circuit, key []bool, reference *netlist.Circuit) (bool, error) {
-	act, err := oracle.Activate(locked, key)
-	if err != nil {
-		return false, err
-	}
-	eq, _, err := ProveEquivalent(act, reference)
-	return eq, err
 }

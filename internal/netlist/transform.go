@@ -187,3 +187,62 @@ func (c *Circuit) ComputeStats() (Stats, error) {
 	s.Depth = d
 	return s, nil
 }
+
+// BindKeys returns a key-free copy of c, named name, with every key
+// input replaced by a constant driver carrying the corresponding bit of
+// key (in c's key order). Inputs, gate order and outputs are preserved.
+func (c *Circuit) BindKeys(name string, key []bool) (*Circuit, error) {
+	if len(key) != len(c.keys) {
+		return nil, fmt.Errorf("netlist: BindKeys: key length %d, circuit has %d key inputs", len(key), len(c.keys))
+	}
+	out := New(name)
+	remap := make([]ID, len(c.gates))
+	for i := range remap {
+		remap[i] = InvalidID
+	}
+	for _, id := range c.inputs {
+		remap[id] = out.MustAddInput(c.gates[id].Name)
+	}
+	for i, id := range c.keys {
+		typ := Const0
+		if key[i] {
+			typ = Const1
+		}
+		kid, err := out.AddGate(typ, c.gates[id].Name)
+		if err != nil {
+			return nil, err
+		}
+		remap[id] = kid
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range order {
+		g := &c.gates[id]
+		if g.Type == Input {
+			if remap[id] == InvalidID {
+				return nil, fmt.Errorf("netlist: BindKeys: unregistered input %q", g.Name)
+			}
+			continue
+		}
+		fanin := make([]ID, len(g.Fanin))
+		for j, f := range g.Fanin {
+			fanin[j] = remap[f]
+		}
+		nid, err := out.AddGate(g.Type, g.Name, fanin...)
+		if err != nil {
+			return nil, err
+		}
+		remap[id] = nid
+	}
+	for _, o := range c.outputs {
+		if err := out.MarkOutput(remap[o]); err != nil {
+			return nil, err
+		}
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -188,63 +188,5 @@ func (o *Sim) Calls() uint64 { return o.calls.Load() }
 // circuit an oracle would simulate: key inputs become constants. It is
 // the bridge between "locked netlist + correct key" and "activated chip".
 func Activate(locked *netlist.Circuit, key []bool) (*netlist.Circuit, error) {
-	if len(key) != locked.NumKeys() {
-		return nil, fmt.Errorf("oracle: key length %d, circuit has %d key inputs", len(key), locked.NumKeys())
-	}
-	out := netlist.New(locked.Name + "_activated")
-	inputMap := make([]netlist.ID, locked.NumInputs())
-	for i, id := range locked.Inputs() {
-		inputMap[i] = out.MustAddInput(locked.Gate(id).Name)
-	}
-	// Rebuild with keys replaced by constants: import cannot be used
-	// directly (it would re-declare keys), so walk gates manually.
-	order, err := locked.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	remap := make([]netlist.ID, locked.NumGates())
-	for i := range remap {
-		remap[i] = netlist.InvalidID
-	}
-	for i, id := range locked.Inputs() {
-		remap[id] = inputMap[i]
-	}
-	for i, id := range locked.Keys() {
-		typ := netlist.Const0
-		if key[i] {
-			typ = netlist.Const1
-		}
-		kid, err := out.AddGate(typ, locked.Gate(id).Name)
-		if err != nil {
-			return nil, err
-		}
-		remap[id] = kid
-	}
-	for _, id := range order {
-		g := locked.Gate(id)
-		if g.Type == netlist.Input {
-			if remap[id] == netlist.InvalidID {
-				return nil, fmt.Errorf("oracle: unregistered input %q", g.Name)
-			}
-			continue
-		}
-		fanin := make([]netlist.ID, len(g.Fanin))
-		for j, f := range g.Fanin {
-			fanin[j] = remap[f]
-		}
-		nid, err := out.AddGate(g.Type, g.Name, fanin...)
-		if err != nil {
-			return nil, err
-		}
-		remap[id] = nid
-	}
-	for _, o := range locked.Outputs() {
-		if err := out.MarkOutput(remap[o]); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return locked.BindKeys(locked.Name+"_activated", key)
 }

@@ -134,9 +134,19 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	req := AttackRequest{Locked: fx.locked, Oracle: fx.orig, Seed: 21}
 	hash, parsed := hashFixture(t, req)
 
+	// Count the oracle calls of an uninterrupted run, so the fabricated
+	// crash below lands mid-attack however the attack batches queries.
+	ref := &tickingOracle{inner: oracle.MustNewSim(parsed.orig)}
+	if _, err := core.Run(core.Options{Locked: parsed.locked, Oracle: ref, Seed: req.Seed}); err != nil {
+		t.Fatal(err)
+	}
+	if ref.calls < 2 {
+		t.Fatalf("reference attack made %d oracle calls; cannot crash one mid-attack", ref.calls)
+	}
+
 	// Fabricate the crashed execution: run the attack directly with a
 	// checkpoint writer aimed at the journal's slot for this hash, and
-	// cancel it after a few oracle calls.
+	// cancel it halfway through the reference run's oracle calls.
 	if err := os.MkdirAll(filepath.Join(dir, "cas"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +165,15 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	t.Logf("crashing at oracle call %d of %d", ref.calls/2, ref.calls)
 	_, runErr := core.Run(core.Options{
 		Locked: parsed.locked,
-		Oracle: &tickingOracle{inner: oracle.MustNewSim(parsed.orig), left: 4, cancel: cancel},
+		Oracle: &tickingOracle{inner: oracle.MustNewSim(parsed.orig), left: ref.calls / 2, cancel: cancel},
 		Seed:   req.Seed, Telemetry: telemetry.New(),
 		Context: ctx, Checkpointer: w,
 	})
 	if runErr == nil {
-		t.Fatal("fabricated crash run succeeded")
+		t.Fatalf("fabricated crash at oracle call %d of %d succeeded", ref.calls/2, ref.calls)
 	}
 	w.Close()
 	if w.Writes() == 0 {
@@ -332,13 +343,14 @@ func mustMarshal(t *testing.T, req AttackRequest) []byte {
 // oracle calls — a deterministic stand-in for a crash mid-attack.
 type tickingOracle struct {
 	inner  oracle.Oracle
-	left   int
+	left   int // calls until cancel; 0 never cancels
+	calls  int
 	cancel context.CancelFunc
 }
 
 func (o *tickingOracle) tick() {
-	o.left--
-	if o.left == 0 {
+	o.calls++
+	if o.calls == o.left {
 		o.cancel()
 	}
 }
