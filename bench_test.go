@@ -492,10 +492,11 @@ func BenchmarkEventOverhead(b *testing.B) {
 				go func() {
 					defer close(drained)
 					for {
-						if len(sub.Poll()) > 0 {
+						evs, closed := sub.Drain()
+						if len(evs) > 0 {
 							continue
 						}
-						if sub.Closed() {
+						if closed {
 							return
 						}
 						<-sub.Wait()

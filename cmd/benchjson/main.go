@@ -824,10 +824,11 @@ func eventsWorkloads() ([]Result, float64, error) {
 			go func() {
 				defer close(drained)
 				for {
-					if len(sub.Poll()) > 0 {
+					evs, closed := sub.Drain()
+					if len(evs) > 0 {
 						continue
 					}
-					if sub.Closed() {
+					if closed {
 						return
 					}
 					<-sub.Wait()

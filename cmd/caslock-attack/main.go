@@ -114,14 +114,14 @@ func armEvents(eventsOut string, showProgress bool) {
 		defer close(evWriterDone)
 		defer f.Close()
 		for {
-			evs := sub.Poll()
+			evs, closed := sub.Drain()
 			for _, ev := range evs {
 				f.Write(append(ev.MarshalNDJSON(), '\n'))
 			}
 			if len(evs) > 0 {
 				continue
 			}
-			if sub.Closed() {
+			if closed {
 				f.Sync()
 				return
 			}

@@ -382,13 +382,14 @@ func (a *attack) countQueries(n uint64) {
 // nowMillis is the wall-clock read behind event phase durations.
 func nowMillis() int64 { return time.Now().UnixMilli() }
 
-// installProgress wires the extractor's per-DIP progress hook into
+// installProgress wires the extractor's progress hook — called per
+// cube on the engine path, per DIP on the legacy path — into
 // whichever consumers are armed: the checkpoint cadence (exactly the
 // hook armDurability used to install) and the event bus, which gets a
 // throttled dip_progress event — running count plus the enumerated
-// fraction of the block universe — every dipEventBatch DIPs and at
-// every enumeration completion. With neither armed, no hook is
-// installed and the extractor's per-DIP cost is a single nil check.
+// fraction of the block universe — every dipEventBatch hook calls and
+// at every enumeration completion. With neither armed, no hook is
+// installed and the extractor's per-call cost is a single nil check.
 //
 // An attack can enumerate more than once: a hypothesis misalignment
 // makes algo2 restart extraction with a fresh (typically smaller)

@@ -188,7 +188,7 @@ func TestAttackAlignedMatchesLemma2(t *testing.T) {
 // match the SAT engine where full SAT enumeration is affordable.
 func TestExtractorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const satWidthMax = 10 // SAT enumerates one model per DIP; cap its share
+	const satWidthMax = 10 // the legacy SAT path solves once per DIP; cap its share
 	for n := 3; n <= 16; n++ {
 		h := host(t, n+2)
 		locked, _, err := lock.ApplyCAS(h, lock.CASOptions{Chain: randomChain(rng, n), Seed: rng.Int63()})

@@ -120,7 +120,7 @@ func (a *attack) armDurability() error {
 			eng.SetBudgetRate(a.resume.BudgetRate)
 		}
 	}
-	// The extractor's per-DIP progress hook (checkpoint cadence + event
+	// The extractor's progress hook (checkpoint cadence + event
 	// publishing) is installed by installProgress after this returns,
 	// so a bus-only run gets it without durability armed.
 	return nil

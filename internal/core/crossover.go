@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -47,9 +48,14 @@ const (
 	// constant slice of the attack.
 	crossoverProbeCap = 250 * time.Millisecond
 
-	// crossoverMaxProbeDIPs bails the SAT probe once this many DIPs have
-	// been enumerated: per-DIP blocking work scales linearly, so a set
-	// this large is decided on the count, not the clock.
+	// crossoverMaxProbeDIPs bails the SAT probe once its cubes have
+	// covered this many DIPs (overlapping cubes count again, so the sum
+	// bounds the distinct count from above). Cube blocking makes the
+	// probe's Solve count follow the number of cubes, not of DIPs, so
+	// the count no longer predicts the probe's clock; the bail remains
+	// the crossover's rule that a set this large goes to simulation,
+	// whose cost is known up front, until that rule is re-measured
+	// under cube blocking.
 	crossoverMaxProbeDIPs = 1 << 16
 )
 
@@ -312,8 +318,8 @@ func chooseExtractor(ctx context.Context, opts *Options, layout *BlockLayout, ro
 	satStart := time.Now()
 	var dips uint64
 	overflow := false
-	enumErr := eng.EnumerateDIPs(assign.A, assign.B, func(uint64) bool {
-		dips++
+	enumErr := eng.EnumerateDIPs(assign.A, assign.B, func(_, free uint64) bool {
+		dips += 1 << uint(bits.OnesCount64(free)) // overlaps counted again
 		if dips >= crossoverMaxProbeDIPs {
 			overflow = true
 			return false

@@ -63,6 +63,33 @@ func (s *DIPSet) Add(p uint64) {
 	s.words[p>>6] |= 1 << (p & 63)
 }
 
+// AddCube inserts every pattern of the cube (pat, free): the 2^|free|
+// patterns that agree with pat outside the free bits. Patterns already
+// present stay as they are, so overlapping cubes merge into the one set.
+// Free bits below 6 select lanes within a word and become one mask;
+// the higher free bits pick the words it is ORed into.
+func (s *DIPSet) AddCube(pat, free uint64) {
+	if pat|free >= s.Universe() {
+		panic(fmt.Sprintf("core: cube %b/%b outside the %d-bit DIPSet universe", pat, free, s.n))
+	}
+	lowFree, highFree := free&63, free&^63
+	lane := pat & 63 &^ lowFree
+	var mask uint64
+	for sub := lowFree; ; sub = (sub - 1) & lowFree {
+		mask |= 1 << (lane | sub)
+		if sub == 0 {
+			break
+		}
+	}
+	word := pat &^ 63 &^ highFree
+	for sub := highFree; ; sub = (sub - 1) & highFree {
+		s.words[(word|sub)>>6] |= mask
+		if sub == 0 {
+			break
+		}
+	}
+}
+
 // Contains reports membership of p; out-of-universe patterns are absent.
 func (s *DIPSet) Contains(p uint64) bool {
 	if p >= s.Universe() {

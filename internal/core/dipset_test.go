@@ -151,3 +151,40 @@ func TestDIPSetOrAndEqual(t *testing.T) {
 		t.Error("width-mismatched sets reported equal")
 	}
 }
+
+// TestDIPSetAddCubeMatchesPoints checks AddCube against one Add per
+// cube point, for random overlapping cubes at widths on both sides of
+// the 64-pattern word (free bits below 6 become a lane mask, higher
+// ones select words), and that a cube outside the universe panics.
+func TestDIPSetAddCubeMatchesPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 4, 6, 7, 12} {
+		s, err := NewDIPSet(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewDIPSet(n)
+		mask := s.Universe() - 1
+		for i := 0; i < 40; i++ {
+			pat := rng.Uint64() & mask
+			free := rng.Uint64() & rng.Uint64() & mask
+			s.AddCube(pat, free)
+			for sub := free; ; sub = (sub - 1) & free {
+				ref.Add(pat&^free | sub)
+				if sub == 0 {
+					break
+				}
+			}
+			if !s.Equal(ref) {
+				t.Fatalf("n=%d cube %b/%b: %d patterns, point-wise %d", n, pat, free, s.Count(), ref.Count())
+			}
+		}
+	}
+	s, _ := NewDIPSet(4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cube outside the universe accepted")
+		}
+	}()
+	s.AddCube(0, 0b10000)
+}

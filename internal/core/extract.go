@@ -95,11 +95,18 @@ type satEncoding struct {
 // into one long-lived solver, key assignments become assumption
 // literals, and every extraction across every attack phase reuses the
 // same clause database, so learned clauses and variable activity carry
-// over between hypotheses and calibration candidates.
+// over between hypotheses and calibration candidates. The engine
+// reports the DIP set as cubes — each SAT model widened by ternary
+// simulation and blocked with one clause — so its solve count follows
+// the number of cubes rather than the DIP count m; cubes may overlap
+// each other and resume seeds, and the extractor ORs each into its
+// DIPSet.
 //
 // SetLegacyEncoding(true) restores the pre-engine path: the fixed-key
 // miter and its Tseitin encoding are memoized per key assignment in a
-// small LRU and replayed into a fresh solver per enumeration.
+// small LRU and replayed into a fresh solver per enumeration, with one
+// point blocking clause per model — the paper's loop, kept as the
+// differential reference.
 type SATExtractor struct {
 	locked *netlist.Circuit
 	layout *BlockLayout
@@ -212,10 +219,11 @@ func (e *SATExtractor) SetPhase(name string) {
 }
 
 // SetProgress installs a checkpoint hook: it is invoked on the
-// enumerating goroutine after every accepted DIP with the (still
-// mutating) output set and complete=false, and once more with
-// complete=true when an enumeration finishes. The per-DIP cost when no
-// hook is installed is a single nil check.
+// enumerating goroutine after every accepted cube (every accepted DIP
+// on the legacy path) with the (still mutating) output set and
+// complete=false, and once more with complete=true when an enumeration
+// finishes. The per-cube cost when no hook is installed is a single nil
+// check.
 func (e *SATExtractor) SetProgress(fn func(set *DIPSet, complete bool)) { e.progress = fn }
 
 // SeedDIPs arms the next DIPs call with a checkpoint's partial set: the
@@ -369,12 +377,14 @@ func (e *SATExtractor) sliceBudget(start time.Time, conflicts uint64) uint64 {
 
 // DIPs implements Extractor. On the default incremental path it runs an
 // assumption-driven enumeration session against the persistent engine:
-// the key assignment becomes assumption literals, found patterns are
+// the key assignment becomes assumption literals, found cubes are
 // excluded with scope-guarded blocking clauses that are retired when the
-// session ends, and nothing is re-encoded. On the legacy path it replays
-// the (memoized) fixed-key miter encoding into a fresh solver. Both
-// honor a context: on expiry the partially enumerated set is returned
-// with the context's error.
+// session ends, and nothing is re-encoded. Each cube's points are ORed
+// into the result set, so overlaps with earlier cubes or the resume
+// seed are absorbed; a model already in the set is an error. On the
+// legacy path it replays the (memoized) fixed-key miter encoding into a
+// fresh solver. Both honor a context: on expiry the partially
+// enumerated set is returned with the context's error.
 func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 	if e.legacy {
 		return e.dipsLegacy(assign)
@@ -401,12 +411,14 @@ func (e *SATExtractor) DIPs(assign PairAssign) (*DIPSet, error) {
 		sp.SetArg("seeded", strconv.FormatUint(s.Count(), 10))
 	}
 	var dup error
-	enumErr := eng.EnumerateDIPsSeeded(assign.A, assign.B, seedFn, func(pat uint64) bool {
+	enumErr := eng.EnumerateDIPsSeeded(assign.A, assign.B, seedFn, func(pat, free uint64) bool {
+		// A cube may overlap earlier cubes and seeds, but its model
+		// never lies in them: that region was blocked before the solve.
 		if out.Contains(pat) {
 			dup = fmt.Errorf("core: SAT enumeration returned duplicate pattern %b", pat)
 			return false
 		}
-		out.Add(pat)
+		out.AddCube(pat, free)
 		if e.progress != nil {
 			e.progress(out, false)
 		}

@@ -23,8 +23,10 @@ type Backend interface {
 	BlockWidth() int
 	Stats() sat.Stats
 	PhaseStats() map[string]sat.Stats
-	EnumerateDIPs(A, B []bool, visit func(pat uint64) bool) error
-	EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat uint64) bool) error
+	// EnumerateDIPs reports the DIP set as cubes (pat, free): see
+	// Engine.EnumerateDIPs.
+	EnumerateDIPs(A, B []bool, visit func(pat, free uint64) bool) error
+	EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat, free uint64) bool) error
 	// OpenSession starts a scoped free-key query window (SAT attack /
 	// AppSAT shape); EnumerateWitnesses and EnumerateSensitizations are
 	// the bypass and key-sensitization query shapes. See Engine for the

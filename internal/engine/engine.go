@@ -9,7 +9,12 @@
 // and variable activity accumulated in one phase keep paying off in the
 // next instead of dying with a per-assignment re-encode.
 //
-// Enumeration sessions use blocking scopes (internal/sat): per-model
+// DIP enumeration reports cubes rather than points: each SAT model is
+// widened by ternary simulation of the miter's compiled gate program
+// into a cube of DIPs, and one blocking clause over the cube's fixed
+// inputs excludes all of it (see EnumerateDIPs and DESIGN.md §16).
+//
+// Enumeration sessions use blocking scopes (internal/sat): the per-cube
 // blocking clauses are guarded by an activation literal and retired as a
 // group when the session ends, which retracts them soundly (clauses are
 // never deleted, only permanently satisfied) and lets the next session
@@ -24,7 +29,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/events"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
@@ -45,14 +49,10 @@ type Engine struct {
 	locked   *netlist.Circuit
 	blockPos []int
 
-	solver *sat.Solver
-	inc    *cnf.Incremental
-	keysA  []cnf.Lit // copy A's key bits, in the locked circuit's key order
-	keysB  []cnf.Lit // copy B's key bits
-	inputs []cnf.Lit // primary inputs, in the locked circuit's input order
-	block  []cnf.Lit // chain-input literals, in chain order
-	diff   cnf.Lit   // the miter's disagreement output
-	nKeys  int
+	solver         *sat.Solver
+	*miterEncoding // nil until the first query; shared by portfolio members
+	lift           lifter
+	nKeys          int
 
 	ctx   context.Context     // nil = never cancelled
 	tel   *telemetry.Registry // nil = uninstrumented
@@ -76,7 +76,7 @@ type Engine struct {
 	scopeHeld bool      // the single blocking scope is reserved by a Session/enumeration
 
 	assume   []cnf.Lit // scratch: assumption vector
-	blocking []cnf.Lit // scratch: per-model blocking clause
+	blocking []cnf.Lit // scratch: per-cube blocking clause
 }
 
 // New prepares an engine for the locked circuit; blockPos gives the
@@ -183,27 +183,12 @@ func (e *Engine) ensure() error {
 	}
 	sp := e.tel.StartSpanLane("engine_encode", e.lane)
 	defer sp.End()
-	kd, err := miter.NewKeyDiff(e.locked)
-	if err != nil {
-		return err
-	}
 	solver := sat.New()
-	inc := cnf.NewIncremental(solver)
-	enc, err := inc.Encode(kd.Circuit)
+	m, err := encodeMiter(e.locked, e.blockPos, solver)
 	if err != nil {
 		return err
 	}
-	keyLits := enc.KeyLits(kd.Circuit)
-	e.solver = solver
-	e.inc = inc
-	e.keysA = keyLits[:kd.NKeys]
-	e.keysB = keyLits[kd.NKeys:]
-	e.inputs = enc.InputLits(kd.Circuit)
-	e.block = make([]cnf.Lit, len(e.blockPos))
-	for i, pos := range e.blockPos {
-		e.block[i] = e.inputs[pos]
-	}
-	e.diff = enc.OutputLits(kd.Circuit)[0]
+	e.solver, e.miterEncoding = solver, m
 	sp.SetArg("vars", strconv.Itoa(solver.NumVars()))
 	sp.SetArg("clauses", strconv.Itoa(solver.NumClauses()))
 	e.tel.Counter("engine_encodings_total").Inc()
@@ -297,31 +282,38 @@ func (e *Engine) checkKeys(a, b []bool) error {
 }
 
 // EnumerateDIPs enumerates every block-input pattern on which the locked
-// circuit under key A disagrees with the circuit under key B, invoking
-// visit once per pattern (bit i = chain input i, at most once per
-// pattern); visit returning false stops the enumeration early. The keys
-// are fixed purely by assumptions and found patterns are excluded with
-// scope-guarded blocking clauses, so the session leaves no trace in the
-// formula beyond (retractable, eventually compacted) satisfied clauses
-// and the learned clauses that speed up the next session.
+// circuit under key A disagrees with the circuit under key B (for some
+// assignment of the other primary inputs), reported as cubes: visit
+// receives the solver's model pattern pat (bit i = chain input i) and a
+// mask free of chain inputs that may take either value — every one of
+// the 2^|free| patterns that agree with pat outside free is a DIP. Each
+// model is widened by ternary simulation of the miter (see liftCube)
+// and the whole cube is excluded with one scope-guarded blocking clause
+// over its fixed inputs, so the number of Solve calls scales with the
+// number of cubes rather than with the DIP count. Cubes never repeat a
+// model but may overlap earlier cubes; their union is exactly the DIP
+// set once the enumeration ends on Unsat. visit returning false stops
+// the enumeration early. The keys are fixed purely by assumptions, so
+// the session leaves no trace in the formula beyond (retractable,
+// eventually compacted) satisfied clauses and the learned clauses that
+// speed up the next session.
 //
 // With a context attached, Solve calls run in conflict-budgeted slices
 // sized by the engine's per-phase budgeter; on expiry the enumeration
-// stops and the context's error is returned (patterns already visited
+// stops and the context's error is returned (cubes already visited
 // remain valid — the set is simply incomplete).
-func (e *Engine) EnumerateDIPs(A, B []bool, visit func(pat uint64) bool) error {
+func (e *Engine) EnumerateDIPs(A, B []bool, visit func(pat, free uint64) bool) error {
 	return e.EnumerateDIPsSeeded(A, B, nil, visit)
 }
 
 // EnumerateDIPsSeeded is EnumerateDIPs with the session's blocking scope
 // pre-charged: before solving, every pattern yielded by seed is pushed
-// as a blocking clause, exactly as if it had just been enumerated — the
-// mechanism a resumed attack uses to replay a checkpoint's accumulated
-// DIPs into a fresh engine so enumeration continues where the crashed
-// process stopped. Seeded patterns are not re-visited; only patterns
-// found by the solver reach visit. A nil seed degenerates to
-// EnumerateDIPs.
-func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat uint64) bool) error {
+// as a point blocking clause — the mechanism a resumed attack uses to
+// replay a checkpoint's accumulated DIPs into a fresh engine so
+// enumeration continues where the crashed process stopped. No model is
+// ever a seeded pattern, though a lifted cube may cover seeds. A nil
+// seed degenerates to EnumerateDIPs.
+func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat, free uint64) bool) error {
 	if err := e.ensure(); err != nil {
 		return err
 	}
@@ -345,17 +337,9 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 	if seed != nil {
 		var replayed uint64
 		seed(func(pat uint64) bool {
-			blocking := e.blocking[:0]
-			for i, l := range e.block {
-				if pat&(1<<uint(i)) != 0 {
-					blocking = append(blocking, l.Neg())
-				} else {
-					blocking = append(blocking, l)
-				}
-			}
-			e.blocking = blocking
+			e.blocking = e.cubeBlocking(e.blocking[:0], pat, 0)
 			replayed++
-			return e.solver.PushBlocking(blocking...)
+			return e.solver.PushBlocking(e.blocking...)
 		})
 		e.tel.Counter("engine_seeded_dips_total").Add(replayed)
 	}
@@ -391,21 +375,18 @@ func (e *Engine) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint6
 		case sat.Unsat:
 			return nil
 		}
-		blocking := e.blocking[:0]
 		var pat uint64
 		for i, l := range e.block {
 			if e.solver.ModelValue(l) {
 				pat |= 1 << uint(i)
-				blocking = append(blocking, l.Neg())
-			} else {
-				blocking = append(blocking, l)
 			}
 		}
-		e.blocking = blocking
-		if !visit(pat) {
+		free := e.liftCube(A, B, pat)
+		if !visit(pat, free) {
 			return nil
 		}
-		e.solver.PushBlocking(blocking...)
+		e.blocking = e.cubeBlocking(e.blocking[:0], pat, free)
+		e.solver.PushBlocking(e.blocking...)
 	}
 }
 

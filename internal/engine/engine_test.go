@@ -73,20 +73,42 @@ func allInputs(c *netlist.Circuit) []int {
 	return pos
 }
 
-func collect(t *testing.T, e *Engine, keyA, keyB []bool) map[uint64]bool {
+// cubePoints calls f on every pattern of the cube (pat, free): the 2^|free|
+// patterns that agree with pat outside free.
+func cubePoints(pat, free uint64, f func(p uint64)) {
+	for s := free; ; s = (s - 1) & free {
+		f(pat&^free | s)
+		if s == 0 {
+			return
+		}
+	}
+}
+
+// collectCubes runs an enumeration and returns the union of its cubes.
+// A model inside an earlier cube — a repeated model included — means
+// the blocking clauses failed to exclude a reported cube, and fails the
+// test.
+func collectCubes(t *testing.T, enumerate func(visit func(pat, free uint64) bool) error) map[uint64]bool {
 	t.Helper()
 	got := make(map[uint64]bool)
-	err := e.EnumerateDIPs(keyA, keyB, func(pat uint64) bool {
+	err := enumerate(func(pat, free uint64) bool {
 		if got[pat] {
-			t.Fatalf("duplicate pattern %b", pat)
+			t.Fatalf("model %b lies in an already-reported cube", pat)
 		}
-		got[pat] = true
+		cubePoints(pat, free, func(p uint64) { got[p] = true })
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+func collect(t *testing.T, e *Engine, keyA, keyB []bool) map[uint64]bool {
+	t.Helper()
+	return collectCubes(t, func(visit func(pat, free uint64) bool) error {
+		return e.EnumerateDIPs(keyA, keyB, visit)
+	})
 }
 
 // TestEnumerateMatchesBruteForce checks assumption-driven enumeration on
@@ -284,7 +306,7 @@ func TestEnumerateCancelled(t *testing.T) {
 	eng.SetContext(ctx)
 	rng := rand.New(rand.NewSource(31))
 	nk := locked.NumKeys()
-	err = eng.EnumerateDIPs(randomKey(rng, nk), randomKey(rng, nk), func(uint64) bool { return true })
+	err = eng.EnumerateDIPs(randomKey(rng, nk), randomKey(rng, nk), func(uint64, uint64) bool { return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

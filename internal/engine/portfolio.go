@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/events"
-	"repro/internal/miter"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/telemetry"
@@ -199,8 +199,9 @@ func (t teeSink) Add(lits ...cnf.Lit) {
 	}
 }
 
-// ensure tee-encodes the miter once into all members and wires the
-// clause exchange. The encode is counted once in engine_encodings_total
+// ensure tee-encodes the miter once into all members — they share the
+// one miterEncoding, gate program included — and wires the clause
+// exchange. The encode is counted once in engine_encodings_total
 // regardless of member count: it is one encoding, broadcast.
 func (p *Portfolio) ensure() error {
 	if p.encoded {
@@ -208,38 +209,21 @@ func (p *Portfolio) ensure() error {
 	}
 	sp := p.tel.StartSpanLane("portfolio_encode", telemetry.EngineLane)
 	defer sp.End()
-	kd, err := miter.NewKeyDiff(p.locked)
-	if err != nil {
-		return err
-	}
 	solvers := make([]*sat.Solver, len(p.members))
 	for i := range p.members {
 		solvers[i] = sat.NewWithOptions(memberOptions(i))
 	}
-	inc := cnf.NewIncremental(teeSink{solvers})
-	enc, err := inc.Encode(kd.Circuit)
+	shared, err := encodeMiter(p.locked, p.blockPos, teeSink{solvers})
 	if err != nil {
 		return err
 	}
 	p.sharedVars = solvers[0].NumVars()
-	keyLits := enc.KeyLits(kd.Circuit)
-	inputLits := enc.InputLits(kd.Circuit)
-	diff := enc.OutputLits(kd.Circuit)[0]
 
 	p.inbox = make([]chan []cnf.Lit, len(p.members))
 	p.exportSeen = make([]map[string]struct{}, len(p.members))
 	p.importSeen = make([]map[string]struct{}, len(p.members))
 	for i, m := range p.members {
-		m.solver = solvers[i]
-		m.inc = inc
-		m.keysA = keyLits[:kd.NKeys]
-		m.keysB = keyLits[kd.NKeys:]
-		m.inputs = inputLits
-		m.block = make([]cnf.Lit, len(m.blockPos))
-		for j, pos := range m.blockPos {
-			m.block[j] = inputLits[pos]
-		}
-		m.diff = diff
+		m.solver, m.miterEncoding = solvers[i], shared
 		p.inbox[i] = make(chan []cnf.Lit, memberInboxCap)
 		p.exportSeen[i] = make(map[string]struct{})
 		p.importSeen[i] = make(map[string]struct{})
@@ -480,19 +464,23 @@ func (p *Portfolio) recordWin(w int) {
 
 // EnumerateDIPs races the full DIP enumeration across all members; see
 // Engine.EnumerateDIPs for the contract.
-func (p *Portfolio) EnumerateDIPs(A, B []bool, visit func(pat uint64) bool) error {
+func (p *Portfolio) EnumerateDIPs(A, B []bool, visit func(pat, free uint64) bool) error {
 	return p.EnumerateDIPsSeeded(A, B, nil, visit)
 }
 
+// cube is one reported (pat, free) pair of a member's enumeration.
+type cube struct{ pat, free uint64 }
+
 // EnumerateDIPsSeeded races the seeded enumeration across all members.
-// Each member enumerates the complete DIP set into a private list (the
-// set is unique — keys and circuit fix it — so which member finishes
-// first changes only the visit order, never the set); the winner's list
-// is then replayed through visit on the caller's goroutine, honoring
-// early stops. When no member completes (deadline/cancellation), the
-// largest partial list is replayed and that member's error returned,
+// Each member enumerates the complete DIP set into a private cube list
+// (the set is unique — keys and circuit fix it — so which member
+// finishes first changes only the cubes and their order, never their
+// union); the winner's list is then replayed through visit on the
+// caller's goroutine, honoring early stops. When no member completes
+// (deadline/cancellation), the partial list covering the most patterns
+// (cube sizes summed) is replayed and that member's error returned,
 // matching the single-engine partial-enumeration contract.
-func (p *Portfolio) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat uint64) bool) error {
+func (p *Portfolio) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat uint64) bool), visit func(pat, free uint64) bool) error {
 	if err := p.ensure(); err != nil {
 		return err
 	}
@@ -500,9 +488,9 @@ func (p *Portfolio) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat ui
 	defer cancel()
 
 	type result struct {
-		pats []uint64
-		err  error
-		ran  bool
+		cubes   []cube
+		covered uint64 // sum of cube sizes; overlaps count again
+		err     error
 	}
 	results := make([]result, len(p.active))
 	var winner atomic.Int32
@@ -515,13 +503,14 @@ func (p *Portfolio) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat ui
 			m.SetContext(raceCtx)
 			m.solver.SetInterrupt(func() bool { return raceCtx.Err() != nil })
 			defer m.solver.SetInterrupt(nil)
-			var pats []uint64
-			err := m.EnumerateDIPsSeeded(A, B, seed, func(pat uint64) bool {
-				pats = append(pats, pat)
+			var r result
+			r.err = m.EnumerateDIPsSeeded(A, B, seed, func(pat, free uint64) bool {
+				r.cubes = append(r.cubes, cube{pat, free})
+				r.covered += 1 << uint(bits.OnesCount64(free))
 				return true
 			})
-			results[ri] = result{pats: pats, err: err, ran: true}
-			if err == nil && winner.CompareAndSwap(-1, int32(ri)) {
+			results[ri] = r
+			if r.err == nil && winner.CompareAndSwap(-1, int32(ri)) {
 				cancel()
 			}
 		}(ri, p.members[mi])
@@ -532,26 +521,21 @@ func (p *Portfolio) EnumerateDIPsSeeded(A, B []bool, seed func(yield func(pat ui
 	if w < 0 {
 		// Nobody completed: replay the largest partial (ties: lowest
 		// member index) and surface its error.
-		best := 0
+		w = 0
 		for i := range results {
-			if len(results[i].pats) > len(results[best].pats) {
-				best = i
+			if results[i].covered > results[w].covered {
+				w = i
 			}
 		}
-		for _, pat := range results[best].pats {
-			if !visit(pat) {
-				break
-			}
-		}
-		return results[best].err
+	} else {
+		p.recordWin(p.active[w])
 	}
-	p.recordWin(p.active[w])
-	for _, pat := range results[w].pats {
-		if !visit(pat) {
+	for _, c := range results[w].cubes {
+		if !visit(c.pat, c.free) {
 			break
 		}
 	}
-	return nil
+	return results[w].err
 }
 
 // baseline prepares member 0 for a delegated (non-raced) query: the

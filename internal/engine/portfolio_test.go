@@ -14,18 +14,9 @@ import (
 
 func collectBackend(t *testing.T, b Backend, keyA, keyB []bool) map[uint64]bool {
 	t.Helper()
-	got := make(map[uint64]bool)
-	err := b.EnumerateDIPs(keyA, keyB, func(pat uint64) bool {
-		if got[pat] {
-			t.Fatalf("duplicate pattern %b", pat)
-		}
-		got[pat] = true
-		return true
+	return collectCubes(t, func(visit func(pat, free uint64) bool) error {
+		return b.EnumerateDIPs(keyA, keyB, visit)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
 }
 
 // TestPortfolioEnumerateMatchesEngine races the portfolio against a
@@ -92,22 +83,24 @@ func TestPortfolioSeededEnumeration(t *testing.T) {
 				}
 			}
 		}
-		got := make(map[uint64]bool)
-		err := port.EnumerateDIPsSeeded(keyA, keyB, seedFn, func(pat uint64) bool {
-			if seeded[pat] {
-				t.Fatalf("trial %d: seeded pattern %b re-visited", trial, pat)
-			}
-			if got[pat] {
-				t.Fatalf("trial %d: duplicate pattern %b", trial, pat)
-			}
-			got[pat] = true
-			return true
+		got := collectCubes(t, func(visit func(pat, free uint64) bool) error {
+			return port.EnumerateDIPsSeeded(keyA, keyB, seedFn, func(pat, free uint64) bool {
+				if seeded[pat] {
+					t.Fatalf("trial %d: seeded pattern %b re-visited", trial, pat)
+				}
+				return visit(pat, free)
+			})
 		})
-		if err != nil {
-			t.Fatal(err)
+		for p := range seeded {
+			got[p] = true
 		}
-		if len(got)+len(seeded) != len(want) {
-			t.Fatalf("trial %d: %d found + %d seeded != %d true DIPs", trial, len(got), len(seeded), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d found or seeded != %d true DIPs", trial, len(got), len(want))
+		}
+		for p := range want {
+			if !got[p] {
+				t.Fatalf("trial %d: missing DIP %b", trial, p)
+			}
 		}
 	}
 }
@@ -301,7 +294,7 @@ func TestPortfolioRaceHammer(t *testing.T) {
 	defer cancel()
 	port.SetContext(ctx)
 	for trial := 0; trial < 6; trial++ {
-		err := port.EnumerateDIPs(randomKey(rng, nk), randomKey(rng, nk), func(uint64) bool { return true })
+		err := port.EnumerateDIPs(randomKey(rng, nk), randomKey(rng, nk), func(uint64, uint64) bool { return true })
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("trial %d: unexpected error %v", trial, err)
 		}

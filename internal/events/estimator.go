@@ -246,7 +246,7 @@ func (t *Tracker) run() {
 	var lastPub time.Time
 	var last Progress
 	for {
-		events := t.sub.Poll()
+		events, closed := t.sub.Drain()
 		for _, ev := range events {
 			t.est.Observe(ev)
 		}
@@ -263,7 +263,7 @@ func (t *Tracker) run() {
 			}
 			continue
 		}
-		if t.sub.Closed() {
+		if closed {
 			return
 		}
 		<-t.sub.Wait()

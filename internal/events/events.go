@@ -181,16 +181,15 @@ func (b *Bus) Publish(ev Event) {
 		ev.TS = b.now().UnixMilli()
 	}
 	b.hist.push(ev)
-	subs := make([]*Subscription, 0, len(b.subs))
+	// Offer under the bus lock: concurrent publishers then reach every
+	// subscriber in sequence order. A subscription's own lock is only
+	// ever taken inside the bus lock, never around it.
 	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-	for _, s := range subs {
 		if s.offer(ev) {
 			b.dropped.Add(1)
 		}
 	}
+	b.mu.Unlock()
 }
 
 // Subscribe registers a consumer. Events already in the history ring
@@ -241,6 +240,17 @@ func (b *Bus) LastSeq() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.seq
+}
+
+// Closed reports whether Close has been called. A nil bus reports
+// false: it never streams, so it never ends a stream either.
+func (b *Bus) Closed() bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closed
 }
 
 // Close marks the end of the stream: every subscription is closed (its
@@ -326,6 +336,19 @@ func (s *Subscription) Poll() []Event {
 	return s.buf.drain()
 }
 
+// Drain returns every buffered event, oldest first, together with
+// whether the subscription was closed when they were taken, both read
+// under one lock. A reader is done exactly when a drain comes back
+// empty and closed: a closed subscription accepts no further events, so
+// nothing can follow. Calling Poll and then Closed instead races a
+// publisher that offers its last event and closes between the two
+// calls, and ends the stream with that event still buffered.
+func (s *Subscription) Drain() (evs []Event, closed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.drain(), s.closed
+}
+
 // Dropped returns how many events this subscription has evicted.
 func (s *Subscription) Dropped() uint64 {
 	s.mu.Lock()
@@ -335,11 +358,12 @@ func (s *Subscription) Dropped() uint64 {
 
 // Wait returns a channel that receives (or is readable) when new events
 // may be available or the subscription has closed. After a wake-up the
-// caller drains with Poll and, on an empty result, checks Closed.
+// caller drains with Drain, which also reports the close.
 func (s *Subscription) Wait() <-chan struct{} { return s.notify }
 
 // Closed reports whether the stream has ended. Buffered events remain
-// pollable after close; Closed with an empty Poll means fully drained.
+// pollable after close; a reader deciding whether it is finished must
+// use Drain, which reads the buffer and the close together.
 func (s *Subscription) Closed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -244,3 +244,30 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestDrainReportsCloseWithLastEvent replays, step by step, the
+// interleaving that ended event streams without their done event: the
+// reader's first read finds nothing, the publisher offers done and
+// closes the bus, and only then does the reader ask whether the stream
+// is over. Closed alone says yes with done still buffered; Drain hands
+// over done together with the close, and only the next, empty drain
+// ends the stream.
+func TestDrainReportsCloseWithLastEvent(t *testing.T) {
+	b := New(Options{})
+	sub := b.Subscribe(0)
+	if evs, closed := sub.Drain(); len(evs) != 0 || closed {
+		t.Fatalf("fresh subscription: %d events, closed=%v", len(evs), closed)
+	}
+	b.Publish(Event{Type: TypeDone})
+	b.Close()
+	if !sub.Closed() {
+		t.Fatal("subscription not closed after the bus closed")
+	}
+	evs, closed := sub.Drain()
+	if len(evs) != 1 || evs[0].Type != TypeDone || !closed {
+		t.Fatalf("drain after close: %v closed=%v, want [done] closed", evs, closed)
+	}
+	if evs, closed := sub.Drain(); len(evs) != 0 || !closed {
+		t.Fatalf("final drain: %d events, closed=%v, want none and closed", len(evs), closed)
+	}
+}

@@ -8,7 +8,8 @@ import "fmt"
 // per-gate dynamic dispatch (fanin gather + Eval64 type switch) from the
 // simulation hot loop, and the same program executes unchanged at word
 // widths 1, 4, and 8 (64/256/512 bit-parallel lanes) — the wide kernels
-// just stride the register file.
+// just stride the register file. ExecTernary runs the same program in
+// dual-rail three-valued logic, the engine's cube-lifting simulator.
 
 // Program opcodes. Every op is at most two-input: n-ary gates are
 // decomposed at compile time into a chain of accumulating two-input ops
@@ -181,6 +182,50 @@ func (p *Program) Exec(regs []uint64) {
 		case opXnor2:
 			regs[op.dst] = ^(regs[op.a] ^ regs[op.b])
 		}
+	}
+}
+
+// ExecTernary runs the program in three-valued logic over a dual-rail
+// width-1 register file (64 lanes): lane l of register r is 1 when bit l
+// of one[r] is set, 0 when bit l of zero[r] is set, and X (unknown)
+// when neither is. Both slices must hold at least NumRegs() words and
+// no input lane may have both rails set. The simulation is sound and
+// monotone: a lane that comes out definite agrees with Exec on every
+// 0/1 completion of its X inputs, and turning a definite input into X
+// can only turn definite outputs into X, never flip them.
+func (p *Program) ExecTernary(one, zero []uint64) {
+	if p.regs == 0 {
+		return
+	}
+	one, zero = one[:p.regs], zero[:p.regs]
+	for i := range p.ops {
+		op := &p.ops[i]
+		a1, a0 := one[op.a], zero[op.a]
+		b1, b0 := one[op.b], zero[op.b]
+		var d1, d0 uint64
+		switch op.code {
+		case opConst0:
+			d1, d0 = 0, ^uint64(0)
+		case opConst1:
+			d1, d0 = ^uint64(0), 0
+		case opBuf:
+			d1, d0 = a1, a0
+		case opNot:
+			d1, d0 = a0, a1
+		case opAnd2:
+			d1, d0 = a1&b1, a0|b0
+		case opNand2:
+			d1, d0 = a0|b0, a1&b1
+		case opOr2:
+			d1, d0 = a1|b1, a0&b0
+		case opNor2:
+			d1, d0 = a0&b0, a1|b1
+		case opXor2:
+			d1, d0 = a1&b0|a0&b1, a1&b1|a0&b0
+		case opXnor2:
+			d1, d0 = a1&b1|a0&b0, a1&b0|a0&b1
+		}
+		one[op.dst], zero[op.dst] = d1, d0
 	}
 }
 

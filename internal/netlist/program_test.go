@@ -288,6 +288,42 @@ func BenchmarkRunWidths(b *testing.B) {
 	})
 }
 
+// fuzzCircuit decodes fuzz bytes into a small DAG over every gate type:
+// up to 8 inputs, 3 keys and 24 gates, n-ary gates with 2..4 fanins,
+// the last gate the single output.
+func fuzzCircuit(next func() byte) (c *Circuit, nIn, nKey, nGates int) {
+	nIn = 1 + int(next())%8
+	nKey = int(next()) % 4
+	nGates = 1 + int(next())%24
+
+	c = New("fuzz")
+	var pool []ID
+	for i := 0; i < nIn; i++ {
+		pool = append(pool, c.MustAddInput(fmt.Sprintf("in%d", i)))
+	}
+	for i := 0; i < nKey; i++ {
+		pool = append(pool, c.MustAddKey(fmt.Sprintf("k%d", i)))
+	}
+	types := []GateType{Const0, Const1, Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
+	for i := 0; i < nGates; i++ {
+		gt := types[int(next())%len(types)]
+		var fanin []ID
+		switch gt.MinFanin() {
+		case 0:
+		case 1:
+			fanin = []ID{pool[int(next())%len(pool)]}
+		default:
+			k := 2 + int(next())%3
+			for j := 0; j < k; j++ {
+				fanin = append(fanin, pool[int(next())%len(pool)])
+			}
+		}
+		pool = append(pool, c.MustAddGate(gt, fmt.Sprintf("g%d", i), fanin...))
+	}
+	c.MustMarkOutput(pool[len(pool)-1])
+	return c, nIn, nKey, nGates
+}
+
 // FuzzProgramVsEval64 decodes the fuzz input into a small DAG and checks
 // the compiled program against the interpreted per-gate Eval64 at every
 // lane width. The decoder is total: any byte string yields a valid
@@ -305,35 +341,7 @@ func FuzzProgramVsEval64(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		nIn := 1 + int(next())%8
-		nKey := int(next()) % 4
-		nGates := 1 + int(next())%24
-
-		c := New("fuzz")
-		var pool []ID
-		for i := 0; i < nIn; i++ {
-			pool = append(pool, c.MustAddInput(fmt.Sprintf("in%d", i)))
-		}
-		for i := 0; i < nKey; i++ {
-			pool = append(pool, c.MustAddKey(fmt.Sprintf("k%d", i)))
-		}
-		types := []GateType{Const0, Const1, Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
-		for i := 0; i < nGates; i++ {
-			gt := types[int(next())%len(types)]
-			var fanin []ID
-			switch gt.MinFanin() {
-			case 0:
-			case 1:
-				fanin = []ID{pool[int(next())%len(pool)]}
-			default:
-				k := 2 + int(next())%3
-				for j := 0; j < k; j++ {
-					fanin = append(fanin, pool[int(next())%len(pool)])
-				}
-			}
-			pool = append(pool, c.MustAddGate(gt, fmt.Sprintf("g%d", i), fanin...))
-		}
-		c.MustMarkOutput(pool[len(pool)-1])
+		c, nIn, nKey, nGates := fuzzCircuit(next)
 
 		// Patterns derived from the remaining bytes, deterministically.
 		rng := rand.New(rand.NewSource(int64(nIn)<<16 ^ int64(nGates) ^ int64(next())<<8))

@@ -108,6 +108,7 @@ type Solver struct {
 	seen      []byte
 	analyzeCl []lit // scratch for analyze
 	minStack  []lit // scratch for minimization
+	minClear  []int // scratch: variables temp-marked by one litRedundant call
 	clearVars []int // vars whose seen mark must be wiped after analyze
 
 	assumptions []lit
@@ -529,7 +530,7 @@ func (s *Solver) analyze(confl *clause) ([]lit, int) {
 func (s *Solver) litRedundant(l lit) bool {
 	stack := s.minStack[:0]
 	stack = append(stack, l)
-	var toClear []int
+	toClear := s.minClear[:0]
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -539,7 +540,7 @@ func (s *Solver) litRedundant(l lit) bool {
 			for _, v := range toClear {
 				s.seen[v] = 0
 			}
-			s.minStack = stack
+			s.minStack, s.minClear = stack, toClear
 			return false
 		}
 		for _, q := range c.lits {
@@ -558,7 +559,7 @@ func (s *Solver) litRedundant(l lit) bool {
 	// Success: temp marks stand as a redundancy cache for the rest of
 	// this analyze call; register them for the final wipe.
 	s.clearVars = append(s.clearVars, toClear...)
-	s.minStack = stack
+	s.minStack, s.minClear = stack, toClear
 	return true
 }
 

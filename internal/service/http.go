@@ -118,7 +118,7 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, res, finished, err := s.Outcome(r.PathValue("id"))
+	st, res, finished, err := s.Outcome(r.Context(), r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return

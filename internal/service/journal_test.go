@@ -85,7 +85,7 @@ func TestJournalRestartRestoresJobs(t *testing.T) {
 	if st2.State != StateDone {
 		t.Fatalf("replayed job state = %s, want done", st2.State)
 	}
-	_, res, finished, err := s2.Outcome(j1.ID())
+	_, res, finished, err := s2.Outcome(context.Background(), j1.ID())
 	if err != nil || !finished || res == nil {
 		t.Fatalf("replayed outcome: res=%v finished=%t err=%v", res, finished, err)
 	}
@@ -201,7 +201,7 @@ func TestJournalResumeFromCheckpoint(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("resumed job finished as %s: %s", st.State, st.Error)
 	}
-	_, res, _, err := s.Outcome("j-000003")
+	_, res, _, err := s.Outcome(context.Background(), "j-000003")
 	if err != nil || res == nil {
 		t.Fatalf("resumed outcome: %v, %v", res, err)
 	}

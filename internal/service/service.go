@@ -770,14 +770,26 @@ func (s *Service) Get(id string) (JobStatus, error) {
 
 // Outcome returns a job's terminal outcome, or an error when the job is
 // unknown or still in progress (the boolean distinguishes: false means
-// not finished yet).
-func (s *Service) Outcome(id string) (*JobStatus, *JobResult, bool, error) {
+// not finished yet). The worker seals the job's event stream — done
+// published, bus closed — before it caches, journals and publishes the
+// outcome, so a client that has read done can ask for the result a
+// moment too early; once the execution's bus is sealed, Outcome waits
+// for the flight to finish, bounded by ctx, exactly as the events
+// handler does for a bus-less execution.
+func (s *Service) Outcome(ctx context.Context, id string) (*JobStatus, *JobResult, bool, error) {
 	j, err := s.lookup(id)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	st := j.snapshot()
 	out := j.outcome()
+	if out == nil && j.exec != nil && j.exec.bus.Closed() {
+		select {
+		case <-j.exec.flight.Done:
+			out = j.outcome()
+		case <-ctx.Done():
+		}
+	}
+	st := j.snapshot()
 	if out == nil {
 		return &st, nil, false, nil
 	}

@@ -146,7 +146,7 @@ func TestHammerConcurrentSubmissions(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("job %d (%s): state %s, error %q", i, j.ID(), st.State, st.Error)
 		}
-		_, res, finished, err := s.Outcome(j.ID())
+		_, res, finished, err := s.Outcome(context.Background(), j.ID())
 		if err != nil || !finished || res == nil {
 			t.Fatalf("job %d outcome: finished=%t res=%v err=%v", i, finished, res, err)
 		}
@@ -207,7 +207,7 @@ func TestResubmitUsesCacheZeroQueries(t *testing.T) {
 	if q := reg.Counter("service_oracle_queries_total").Value(); q != queriesBefore {
 		t.Errorf("resubmission spent %d additional oracle queries", q-queriesBefore)
 	}
-	_, res, finished, err := s.Outcome(j2.ID())
+	_, res, finished, err := s.Outcome(context.Background(), j2.ID())
 	if err != nil || !finished {
 		t.Fatalf("cached outcome: %v", err)
 	}

@@ -101,7 +101,7 @@ func (s *Service) streamBus(w http.ResponseWriter, r *http.Request, fl http.Flus
 	defer ticker.Stop()
 	ctx := r.Context()
 	for {
-		evs := sub.Poll()
+		evs, closed := sub.Drain()
 		for _, ev := range evs {
 			writeSSE(w, ev)
 		}
@@ -109,7 +109,7 @@ func (s *Service) streamBus(w http.ResponseWriter, r *http.Request, fl http.Flus
 			fl.Flush()
 			continue // drain fully before blocking
 		}
-		if sub.Closed() {
+		if closed {
 			return // sealed and drained: the done event was the last write
 		}
 		select {

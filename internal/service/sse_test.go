@@ -259,3 +259,33 @@ func TestSSECacheHitReplaysSealedHistory(t *testing.T) {
 		t.Fatalf("cache-hit stream has %d frames, want the full sealed history", len(frames))
 	}
 }
+
+// TestResultReadableAfterDone reads job after job's event stream to its
+// done frame and GETs /result at once. With a journal armed, the outcome
+// blob and done record are written between the stream's seal and the
+// flight's finish, so a result handler that does not wait for a sealed
+// execution answers 409 in that window; it must answer 200 every time.
+func TestResultReadableAfterDone(t *testing.T) {
+	f := makeFixture(t, 8, 4, 61)
+	s, _ := newTestService(t, Config{Workers: 2, QueueDepth: 16, JournalDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 40; i++ {
+		job, err := s.Submit(AttackRequest{Locked: f.locked, Oracle: f.orig, Seed: int64(100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := readSSE(t, ts.URL+"/v1/attacks/"+job.ID()+"/events", 0)
+		if len(frames) == 0 || frames[len(frames)-1].event != events.TypeDone {
+			t.Fatalf("job %d: stream did not end with done", i)
+		}
+		resp, err := http.Get(ts.URL + "/v1/attacks/" + job.ID() + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d: /result right after done answered %d", i, resp.StatusCode)
+		}
+	}
+}

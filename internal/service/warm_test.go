@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // the inherent joint complement, so exact-bit comparison is wrong).
 func checkJobKey(t *testing.T, s *Service, j *Job, f fixture, label string) {
 	t.Helper()
-	_, res, finished, err := s.Outcome(j.ID())
+	_, res, finished, err := s.Outcome(context.Background(), j.ID())
 	if err != nil || !finished || res == nil {
 		t.Fatalf("%s outcome: finished=%t res=%v err=%v", label, finished, res, err)
 	}
